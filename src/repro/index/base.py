@@ -63,6 +63,12 @@ class OracleStats:
     memo_misses: int = 0
     #: Memo entries dropped by the LRU size budget (BFS frontier memo).
     memo_evictions: int = 0
+    #: NLRNL tenuity-row cache: rows decoded, filters served from a
+    #: cached row, rows dropped by the byte budget, and bytes held now.
+    row_builds: int = 0
+    row_hits: int = 0
+    row_evictions: int = 0
+    row_bytes: int = 0
 
     @property
     def memo_hit_rate(self) -> float:
@@ -77,6 +83,9 @@ class OracleStats:
         self.memo_hits = 0
         self.memo_misses = 0
         self.memo_evictions = 0
+        self.row_builds = 0
+        self.row_hits = 0
+        self.row_evictions = 0
 
 
 class DistanceOracle(abc.ABC):
@@ -130,8 +139,9 @@ class DistanceOracle(abc.ABC):
         k-ball once via :meth:`within_k` and drops candidates with one
         set subtraction — ``|candidates|`` pairwise ``is_tenuous``
         probes would re-derive that ball from scratch each time.
-        Oracles whose ``within_k`` is itself O(n) probing (NLRNL, PLL)
-        override this with an inlined pairwise loop instead.
+        Oracles whose ``within_k`` is itself O(n) probing override
+        this: PLL with an inlined pairwise loop, NLRNL with a cached
+        per-``(member, k)`` tenuity row read in one C-level pass.
         """
         self.stats.probes += len(candidates)
         if k == 0:

@@ -30,16 +30,32 @@ Two storage rules from the paper are implemented faithfully:
   with a per-vertex connected-component id (O(n) extra space), recorded
   as a substitution in DESIGN.md.
 
+k-line filtering reads **tenuity rows**: for a ``(member, k)`` pair the
+row is a ``bytes`` of length n with ``row[v] == 1`` iff ``v`` is
+tenuous to the member (``row[member] == 0``).  A row is decoded once
+from the id-halved maps, the components and the frozen ``c`` values,
+and then every filter against that member is one C-level gather and
+``compress`` over the candidates instead of a per-candidate
+dict-and-branch loop.  Rows are cached up to :data:`ROW_CACHE_BYTES`
+(oldest row evicted first).
+
 Dynamic maintenance (edge insert/delete) follows the paper's sketch:
 identify the vertices whose BFS distances may have changed using the
 old distances from the edge endpoints, then rebuild exactly those
 vertices' maps.  ``c`` values are frozen at build time so the
-missing-pair convention stays stable across updates.
+missing-pair convention stays stable across updates.  Rows are
+dropped only for vertices whose distances changed, read off the
+rebuilt maps (a full rebuild, a new vertex or a change of components
+drops them all).
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from functools import lru_cache
+from itertools import compress, islice, repeat
+from operator import itemgetter
 
 from repro.core.errors import IndexUpdateError
 from repro.core.graph import AttributedGraph
@@ -47,7 +63,11 @@ from repro.index._traversal import UNREACHABLE, bfs_distance_array, bfs_levels
 from repro.index.base import DistanceOracle
 from repro.index.nl import choose_peak_level
 
-__all__ = ["NLRNLIndex"]
+__all__ = ["NLRNLIndex", "ROW_CACHE_BYTES"]
+
+#: Byte budget of one index's tenuity-row cache.  Every row of a
+#: 1,200-vertex graph at one ``k`` takes 1.4 MB.
+ROW_CACHE_BYTES = 4 << 20
 
 
 class NLRNLIndex(DistanceOracle):
@@ -75,6 +95,7 @@ class NLRNLIndex(DistanceOracle):
         self._depth_of: list[dict[int, int]] = []
         self._c: list[int] = []
         self._component: list[int] = []
+        self._reset_rows()
         self.rebuild()
 
     # ------------------------------------------------------------------
@@ -103,6 +124,7 @@ class NLRNLIndex(DistanceOracle):
 
         self.stats.entries = entries
         self.stats.build_seconds = time.perf_counter() - started
+        self._drop_rows(None)
         super().rebuild()
 
     @staticmethod
@@ -145,33 +167,19 @@ class NLRNLIndex(DistanceOracle):
         return self._c[u] > k
 
     def filter_candidates(self, candidates: list[int], member: int, k: int) -> list[int]:
-        """k-line filtering with the probe inlined (hot path)."""
+        """k-line filtering as one pass over *member*'s tenuity row."""
         self.stats.probes += len(candidates)
         if k == 0:
             return [v for v in candidates if v != member]
-        depth_of = self._depth_of
-        component = self._component
-        c_values = self._c
-        member_component = component[member]
-        member_map = depth_of[member]
-        member_c = c_values[member]
-        surviving: list[int] = []
-        append = surviving.append
-        for v in candidates:
-            if v == member:
-                continue
-            if v > member:
-                depth = member_map.get(v)
-                c = member_c
-            else:
-                depth = depth_of[v].get(member)
-                c = c_values[v]
-            if depth is None:
-                if component[v] != member_component or c > k:
-                    append(v)
-            elif depth > k:
-                append(v)
-        return surviving
+        row = self._rows.get((member, k))
+        if row is None:
+            row = self._row(member, k)
+        else:
+            self.stats.row_hits += 1
+        if len(candidates) < 2:
+            # itemgetter returns a bare item, not a tuple, for one key.
+            return [v for v in candidates if row[v]]
+        return list(compress(candidates, itemgetter(*candidates)(row)))
 
     def within_k(self, vertex: int, k: int) -> set[int]:
         """All vertices at distance 1..k of *vertex*.
@@ -204,6 +212,84 @@ class NLRNLIndex(DistanceOracle):
         if self._component[u] == self._component[v]:
             return self._c[u]
         return float("inf")
+
+    # ------------------------------------------------------------------
+    # Tenuity rows
+    # ------------------------------------------------------------------
+    def _reset_rows(self) -> None:
+        """Start an empty row cache (construction, load, unpickling)."""
+        self._rows: dict[tuple[int, int], bytes] = {}
+        self._row_lock = threading.Lock()
+        self.stats.row_bytes = 0
+
+    def _row(self, member: int, k: int) -> bytes:
+        """The cached tenuity row of ``(member, k)``, built on a miss."""
+        key = (member, k)
+        with self._row_lock:
+            row = self._rows.get(key)
+            if row is not None:
+                self.stats.row_hits += 1
+                return row
+            row = self._build_row(member, k)
+            rows = self._rows
+            stats = self.stats
+            while rows and stats.row_bytes + len(row) > ROW_CACHE_BYTES:
+                # Dicts keep insertion order: the first key is the oldest.
+                stats.row_bytes -= len(rows.pop(next(iter(rows))))
+                stats.row_evictions += 1
+            rows[key] = row
+            stats.row_bytes += len(row)
+            stats.row_builds += 1
+        return row
+
+    def _build_row(self, member: int, k: int) -> bytes:
+        """Decode *member*'s row at *k* from the maps, ``c`` and components."""
+        c_values = self._c
+        depth_of = self._depth_of
+        n = len(c_values)
+        # Below the member each v owns the pair: its stored depth, or
+        # its c when the pair is unstored (the missing-pair convention).
+        below = map(
+            dict.get, islice(depth_of, member), repeat(member), islice(c_values, member)
+        )
+        row = bytearray(_tenuity_bytes(below, k))
+        row.append(0)
+        # Above it the member owns every pair.
+        row += bytes((c_values[member] > k,)) * (n - member - 1)
+        for w, depth in depth_of[member].items():
+            row[w] = depth > k
+        # Other components are unreachable, whatever their c says.
+        component = self._component
+        mine = component[member]
+        if component.count(mine) != n:
+            for v in compress(range(n), map(mine.__ne__, component)):
+                row[v] = 1
+        return bytes(row)
+
+    def _drop_rows(self, vertices) -> None:
+        """Drop the rows of *vertices* (every row when ``None``)."""
+        with self._row_lock:
+            if vertices is None:
+                self._rows.clear()
+                self.stats.row_bytes = 0
+                return
+            doomed = set(vertices)
+            for key in [key for key in self._rows if key[0] in doomed]:
+                self.stats.row_bytes -= len(self._rows.pop(key))
+
+    # ------------------------------------------------------------------
+    # Pickling (process workers): rows are a per-process cache and the
+    # lock is not picklable, so neither is shipped.
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_rows"] = {}
+        state["_row_lock"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_rows()
 
     # ------------------------------------------------------------------
     # Dynamic maintenance (Section V-B)
@@ -265,6 +351,8 @@ class NLRNLIndex(DistanceOracle):
         self._c.append(choose_peak_level([]))
         self._component = self.graph.connected_components()
         self._built_version = self.graph.version
+        # Every row is one byte short of the new vertex.
+        self._drop_rows(None)
         return vertex
 
     def _rebuild_vertices(self, vertices: list[int]) -> None:
@@ -272,21 +360,49 @@ class NLRNLIndex(DistanceOracle):
 
         ``c`` values are kept frozen (see module docstring); components
         are recomputed because inserts can merge and deletes can split.
+
+        Rows are dropped only for the vertices whose distances changed.
+        A changed pair has both endpoints among *vertices*, so its owner
+        (the smaller id) is rebuilt here, and with ``c`` frozen the
+        owner's map entry changes exactly when the pair's distance does
+        (a pair that becomes or stops being unreachable changes the
+        components instead, which drops every row).
         """
         adjacency = self.graph.adjacency_view()
+        changed: set[int] = set()
         for vertex in vertices:
-            old_entries = len(self._depth_of[vertex])
+            old_map = self._depth_of[vertex]
             levels = bfs_levels(adjacency, vertex)
             vertex_map = self._map_from_levels(vertex, levels, self._c[vertex])
+            if vertex_map != old_map:
+                changed.add(vertex)
+                changed.update(w for w, _ in old_map.items() ^ vertex_map.items())
             self._depth_of[vertex] = vertex_map
-            self.stats.entries += len(vertex_map) - old_entries
-        self._component = self.graph.connected_components()
+            self.stats.entries += len(vertex_map) - len(old_map)
+        component = self.graph.connected_components()
+        self._drop_rows(changed if component == self._component else None)
+        self._component = component
         self._built_version = self.graph.version
 
     # ------------------------------------------------------------------
     def c_value(self, vertex: int) -> int:
         """The frozen per-vertex ``c`` (peak hop level at build time)."""
         return self._c[vertex]
+
+
+@lru_cache(maxsize=64)
+def _tenuity_table(k: int) -> bytes:
+    """``bytes.translate`` table mapping a hop distance d to ``d > k``."""
+    return bytes(depth > k for depth in range(256))
+
+
+def _tenuity_bytes(distances, k: int) -> bytes:
+    """``d > k`` for each of *distances*, as 0/1 bytes."""
+    values = list(distances)
+    try:
+        return bytes(values).translate(_tenuity_table(k))
+    except ValueError:  # some distance is past 255 hops
+        return bytes(depth > k for depth in values)
 
 
 def _insert_affects(dist_u: int, dist_v: int) -> bool:

@@ -83,8 +83,9 @@ __all__ = ["NodeBatch", "SolveBatch", "BATCH_MIN_CANDIDATES"]
 BATCH_MIN_CANDIDATES = 16
 
 #: The built-in scalar sorts each ``batch_sort_spec`` kind must
-#: replicate; a subclass overriding either hook falls back to scalar.
+#: replicate; a subclass overriding any sort hook falls back to scalar.
 _SPEC_BASES = {"qkc": QKCOrdering, "vkc": VKCOrdering, "vkc-deg": VKCDegreeOrdering}
+_SORT_HOOKS = ("initial_order", "reorder", "_key_table", "_base_keys")
 
 
 class NodeBatch:
@@ -200,10 +201,9 @@ class SolveBatch:
             return None
         base = _SPEC_BASES.get(spec[0])
         cls_of = type(strategy)
-        if (
-            base is None
-            or cls_of.initial_order is not base.initial_order
-            or cls_of.reorder is not base.reorder
+        if base is None or any(
+            getattr(cls_of, hook, None) is not getattr(base, hook, None)
+            for hook in _SORT_HOOKS
         ):
             return None
         return cls(kernel, spec, context, solver.use_union_bound)

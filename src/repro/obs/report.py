@@ -33,9 +33,13 @@ def search_stats_row(stats) -> dict:
 
 
 def oracle_usage_row(oracle) -> dict:
-    """Flatten an oracle's :class:`OracleStats` into one dict row."""
+    """Flatten an oracle's :class:`OracleStats` into one dict row.
+
+    NLRNL rows also carry its tenuity-row cache counters, so a slow
+    solve shows whether its k-line filters ran on cold rows.
+    """
     stats = oracle.stats
-    return {
+    row = {
         "oracle": oracle.name,
         "entries": stats.entries,
         "build_seconds": round(stats.build_seconds, 4),
@@ -45,6 +49,12 @@ def oracle_usage_row(oracle) -> dict:
         "memo_misses": stats.memo_misses,
         "memo_hit_rate": round(stats.memo_hit_rate, 4),
     }
+    if oracle.name == "nlrnl":
+        row["row_builds"] = stats.row_builds
+        row["row_hits"] = stats.row_hits
+        row["row_evictions"] = stats.row_evictions
+        row["row_bytes"] = stats.row_bytes
+    return row
 
 
 def solve_report(result, oracle=None, instruments=None) -> dict:

@@ -28,7 +28,7 @@ from repro.core.branch_and_bound import BranchAndBoundSolver, KTGResult
 from repro.core.dktg import DKTGGreedySolver, DKTGResult
 from repro.core.graph import AttributedGraph
 from repro.core.query import DKTGQuery
-from repro.core.strategies import QKCOrdering, VKCDegreeOrdering, VKCOrdering
+from repro.core.strategies import strategy_by_name
 from repro.index.base import DistanceOracle
 from repro.index.bfs import BFSOracle
 from repro.index.nl import NLIndex
@@ -102,16 +102,11 @@ class AlgorithmSpec:
         ``time_budget``) pass straight to :class:`BranchAndBoundSolver`
         — the admission-control hook :class:`repro.service.QueryService`
         uses to cap per-query cost."""
-        if self.strategy_name == "qkc":
-            strategy = QKCOrdering()
-        elif self.strategy_name == "vkc":
-            strategy = VKCOrdering()
-        elif self.strategy_name == "vkc-deg":
-            strategy = VKCDegreeOrdering(graph.degrees())
-        else:
-            raise ValueError(f"unknown strategy {self.strategy_name!r}")
         solver = BranchAndBoundSolver(
-            graph, oracle=oracle, strategy=strategy, **solver_options
+            graph,
+            oracle=oracle,
+            strategy=strategy_by_name(self.strategy_name, graph),
+            **solver_options,
         )
         if self.diversified:
             return DKTGGreedySolver(graph, inner_solver=solver)

@@ -1,10 +1,14 @@
 """Unit tests for index persistence (save/load round trips)."""
 
 import json
+import pickle
 
 import pytest
 
+from repro.core.branch_and_bound import BranchAndBoundSolver
 from repro.core.errors import IndexBuildError
+from repro.core.query import KTGQuery
+from repro.core.strategies import VKCDegreeOrdering
 from repro.index.bfs import BFSOracle
 from repro.index.nl import NLIndex
 from repro.index.nlrnl import NLRNLIndex
@@ -58,6 +62,52 @@ class TestRoundTrips:
         loaded.insert_edge(*non_edge)
         assert not loaded.is_tenuous(*non_edge, 1)
         graph.remove_edge(*non_edge)  # restore for other assertions
+
+    def test_loaded_nlrnl_solves_like_fresh_after_updates(self, graph, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(NLRNLIndex(graph), path)
+        loaded = load_index(graph, path)
+        query = KTGQuery(
+            keywords=("kw000", "kw001", "kw002", "kw003"),
+            group_size=3,
+            tenuity=2,
+            top_n=3,
+        )
+
+        def solve(oracle):
+            solver = BranchAndBoundSolver(
+                graph, oracle=oracle, strategy=VKCDegreeOrdering(graph.degrees())
+            )
+            return solver.solve(query)
+
+        solve(loaded)  # warm the row cache before the graph changes
+        assert loaded.stats.row_builds > 0
+        non_edge = next(
+            (u, v)
+            for u in graph.vertices()
+            for v in graph.vertices()
+            if u < v and not graph.has_edge(u, v)
+        )
+        loaded.insert_edge(*non_edge)
+        loaded.delete_edge(*next(iter(graph.edges())))
+        got = solve(loaded)
+        want = solve(NLRNLIndex(graph))
+        assert got.groups == want.groups
+        assert [g.members for g in got.groups] == [g.members for g in want.groups]
+        got.stats.elapsed_seconds = want.stats.elapsed_seconds = 0.0
+        assert got.stats == want.stats
+
+    def test_pickled_nlrnl_ships_no_rows(self, graph):
+        index = NLRNLIndex(graph)
+        index.filter_candidates(list(graph.vertices()), 0, 2)
+        assert index.stats.row_bytes > 0
+        assert index.__getstate__()["_rows"] == {}
+        clone = pickle.loads(pickle.dumps(index))
+        assert clone._rows == {}
+        assert clone.stats.row_bytes == 0
+        assert clone.filter_candidates(list(graph.vertices()), 0, 2) == (
+            index.filter_candidates(list(graph.vertices()), 0, 2)
+        )
 
 
 class TestFailureModes:
