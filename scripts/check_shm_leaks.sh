@@ -7,47 +7,17 @@
 # without its last lease being released).  Used by every CI job after
 # its test step.
 #
-# Usage: check_shm_leaks.sh [--expect N] [--prefix PATTERN]
-#   --expect N        require exactly N segments instead of zero (a job
-#                     that intentionally keeps a fleet up mid-check)
-#   --prefix PATTERN  glob to match under /dev/shm (default psm_*)
+# Usage: check_shm_leaks.sh
 set -euo pipefail
 
-expect=0
-prefix="psm_*"
-while [ $# -gt 0 ]; do
-    case "$1" in
-        --expect)
-            expect="$2"
-            shift 2
-            ;;
-        --prefix)
-            prefix="$2"
-            shift 2
-            ;;
-        *)
-            echo "usage: $0 [--expect N] [--prefix PATTERN]" >&2
-            exit 2
-            ;;
-    esac
-done
-
-segments=$(ls /dev/shm/$prefix 2>/dev/null || true)
-count=0
-if [ -n "$segments" ]; then
-    count=$(printf '%s\n' "$segments" | wc -l)
+if [ $# -gt 0 ]; then
+    echo "usage: $0" >&2
+    exit 2
 fi
 
-if [ "$count" -ne "$expect" ]; then
-    if [ "$expect" -eq 0 ]; then
-        echo "leaked shared-memory segments: $segments" >&2
-    else
-        echo "expected $expect /dev/shm/$prefix segments, found $count: $segments" >&2
-    fi
+segments=$(ls /dev/shm/psm_* 2>/dev/null || true)
+if [ -n "$segments" ]; then
+    echo "leaked shared-memory segments: $segments" >&2
     exit 1
 fi
-if [ "$expect" -eq 0 ]; then
-    echo "no leaked /dev/shm segments"
-else
-    echo "exactly $expect /dev/shm/$prefix segments present, as expected"
-fi
+echo "no leaked /dev/shm segments"

@@ -10,6 +10,8 @@ KTG/DKTG solvers:
 * :class:`~repro.service.cache.ResultCache` — an LRU result cache keyed
   by ``(graph.version, canonical query)`` so repeated queries are
   amortised and graph mutations implicitly invalidate stale entries;
+* :class:`~repro.service.registry.GraphRegistry` — many named graphs
+  in one process, each with its own service and a stable ``graph_id``;
 * :class:`~repro.service.service.ServiceResult` /
   :class:`~repro.service.service.ServiceStats` — per-query provenance
   (exactness, budget exhaustion, cache hit, latency) and aggregate
@@ -19,12 +21,15 @@ See ``docs/service.md`` for the architecture and degradation semantics.
 """
 
 from repro.service.cache import CacheStats, ResultCache, canonical_query_key
+from repro.service.registry import GraphRegistry, RegisteredGraph
 from repro.service.service import QueryService, ServiceResult, ServiceStats
 
 __all__ = [
     "CacheStats",
     "ResultCache",
     "canonical_query_key",
+    "GraphRegistry",
+    "RegisteredGraph",
     "QueryService",
     "ServiceResult",
     "ServiceStats",

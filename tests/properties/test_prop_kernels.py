@@ -13,7 +13,7 @@ Two contracts, exercised over random graphs and queries:
   which on numpy also engages the batched expansion core of
   :mod:`repro.kernels.solve`) return identical ranked groups and
   identical :class:`SearchStats` ledgers, across strategies, serial /
-  parallel / sharded engines, and jobs / shards counts.
+  parallel engines, and jobs counts.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.index.nlrnl import NLRNLIndex
 from repro.index.pll import PLLIndex
 from repro.kernels import BallBitsetEngine
 from repro.kernels.vec import numpy_available
-from repro.shard import ShardedBranchAndBoundSolver
 
 KEYWORD_POOL = ["a", "b", "c", "d", "e", "f"]
 
@@ -241,29 +240,17 @@ def _backend_solve(graph, query, strategy_factory, backend, engine_kind, width):
             distance_engine="bitset",
             kernel_backend=backend,
         ).solve(query)
-    if engine_kind == "parallel":
-        # bound_broadcast off: cross-chunk floor updates are timing
-        # dependent, and the sweep pins the FULL stats ledger.
-        with ParallelBranchAndBoundSolver(
-            graph,
-            oracle=BFSOracle(graph),
-            strategy=strategy_factory(graph),
-            jobs=width,
-            executor="inline" if width == 1 else "thread",
-            distance_engine="bitset",
-            kernel_backend=backend,
-            bound_broadcast=False,
-        ) as engine:
-            return engine.solve(query)
-    with ShardedBranchAndBoundSolver(
+    # bound_broadcast off: cross-chunk floor updates are timing
+    # dependent, and the sweep pins the FULL stats ledger.
+    with ParallelBranchAndBoundSolver(
         graph,
         oracle=BFSOracle(graph),
         strategy=strategy_factory(graph),
-        num_shards=width,
-        executor="inline",
-        bound_broadcast=False,
+        jobs=width,
+        executor="inline" if width == 1 else "thread",
         distance_engine="bitset",
         kernel_backend=backend,
+        bound_broadcast=False,
     ) as engine:
         return engine.solve(query)
 
@@ -273,9 +260,7 @@ def _backend_solve(graph, query, strategy_factory, backend, engine_kind, width):
     graph=attributed_graphs(),
     query=queries(),
     strategy_index=st.integers(0, 2),
-    engine_pick=st.sampled_from(
-        [("serial", 1), ("parallel", 1), ("parallel", 4), ("sharded", 1), ("sharded", 2)]
-    ),
+    engine_pick=st.sampled_from([("serial", 1), ("parallel", 1), ("parallel", 4)]),
     kline=st.booleans(),
     union=st.booleans(),
 )
